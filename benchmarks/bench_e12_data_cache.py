@@ -17,7 +17,7 @@ Three observations matter:
   exactly the slot-local reuse the paper describes;
 * the disabled control shows no repeat effect (both its passes are cold).
 
-Recorded in ``BENCH_PR4.json`` under ``e12_dc``.
+Recorded in the bench report (``BENCH_PR10.json``) under ``e12_dc``.
 """
 
 from repro.bench import (

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Protocol
 
@@ -20,12 +19,7 @@ from repro.engine.operators import ExecContext, execute_plan
 from repro.engine.optimizer import optimize
 from repro.engine.plan import PlanNode, ScanNode, TvfNode
 from repro.engine.planner import Planner
-from repro.engine.scheduler import (
-    SlotScheduler,
-    SpeculationConfig,
-    TaskRun,
-    normalize_costs,
-)
+from repro.engine.scheduler import SpeculationConfig, TaskRun, normalize_costs
 
 
 @dataclass
@@ -57,18 +51,19 @@ class QueryStats:
     dpp_applied: int = 0
     elapsed_ms: float = 0.0
     slot_ms: float = 0.0
-    shuffle_partitions: int = 0  # set by finalize() from the engine config
-    compute_parallelism: int = 0  # set by finalize(): min(slots, shuffle_partitions)
+    shuffle_partitions: int = 0  # set with the verdict from the engine config
+    compute_parallelism: int = 0  # set with the verdict: min(slots, shuffle_partitions)
     retry_count: int = 0  # transient-failure retries spent on this query
     degraded: bool = False  # True when any fallback path served the query
     cache_hit_bytes: int = 0  # source bytes served from the data cache
     cache_hit: bool = False  # True when the query-result cache served this query
     # Per-stage scan accounting (one entry per scan operator); stage-less
     # callers (e.g. ML batch scoring) keep bumping scan_work_ms/scan_tasks
-    # directly and are finalized under the legacy wave model.
+    # directly and are scheduled under the uniform wave model.
     scan_stages: list[StageScan] = field(default_factory=list)
-    # Scheduler outputs (set by finalize): per-task timeline plus skew and
-    # speculation facts, surfaced on JobRecord / INFORMATION_SCHEMA.JOBS.
+    # Slot-pool outputs (grafted from the job's verdict): per-task timeline
+    # plus skew and speculation facts, surfaced on JobRecord /
+    # INFORMATION_SCHEMA.JOBS.
     task_skew: float = 1.0
     speculative_count: int = 0
     speculative_wins: int = 0
@@ -112,87 +107,6 @@ class QueryStats:
         total = self.cache_hit_bytes + self.bytes_scanned
         return self.cache_hit_bytes / total if total else 0.0
 
-    def finalize(
-        self,
-        slots: int,
-        startup_ms: float,
-        shuffle_partitions: int = 8,
-        faults: Any | None = None,
-        speculation: SpeculationConfig | None = None,
-    ) -> None:
-        """Slot-limited elapsed-time model: metadata/planning work is
-        serial; each scan stage's tasks run through the skew-aware slot
-        scheduler (LPT + work-stealing, straggler injection, speculative
-        backups) and contribute their makespan; operator compute spreads
-        across shuffle partitions (bounded by slots).
-
-        Stage-less scan work (recorded without per-task estimates, e.g. by
-        ML batch scoring) still uses the legacy uniform-wave formula — for
-        *n* equal tasks the scheduler's makespan reduces to exactly that,
-        so the two models agree where the old one was right.
-        """
-        import math
-
-        self.shuffle_partitions = shuffle_partitions
-        self.compute_parallelism = max(1, min(slots, shuffle_partitions))
-        compute_parallelism = self.compute_parallelism
-        self.slot_ms = self.planning_ms + self.scan_work_ms + self.compute_ms
-        scan_elapsed = 0.0
-        self.task_timeline = []
-        self.speculative_count = 0
-        self.speculative_wins = 0
-        winner_durations: list[float] = []
-        if self.scan_stages:
-            scheduler = SlotScheduler(slots, faults=faults, speculation=speculation)
-            offset = startup_ms + self.planning_ms
-            for stage in self.scan_stages:
-                timeline = scheduler.run_stage(
-                    stage.stage, stage.task_costs, start_ms=offset
-                )
-                offset += timeline.makespan_ms
-                scan_elapsed += timeline.makespan_ms
-                self.speculative_count += timeline.speculative_launched
-                self.speculative_wins += timeline.speculative_wins
-                self.task_timeline.extend(timeline.runs)
-                winner_durations.extend(
-                    r.duration_ms for r in timeline.runs if r.winner
-                )
-        self.task_skew = 1.0
-        if winner_durations:
-            mean = sum(winner_durations) / len(winner_durations)
-            if mean > 0:
-                self.task_skew = max(winner_durations) / mean
-        # Legacy wave model for scan work recorded without a stage: 3 equal
-        # tasks on 2 slots take 2 waves (2/3 of the total scan work
-        # elapses), not the 1.5 "waves" plain division would claim.
-        leftover_tasks = self.scan_tasks - sum(s.tasks for s in self.scan_stages)
-        leftover_ms = self.scan_work_ms - sum(s.scan_ms for s in self.scan_stages)
-        if leftover_ms > 1e-9:  # float residue from the += accumulation is not work
-            tasks = max(1, leftover_tasks)
-            waves = math.ceil(tasks / max(1, slots))
-            scan_elapsed += leftover_ms * waves / tasks
-        # Compute partitions occupy slots too; emit their attempts so the
-        # solo timeline matches the pool's run-for-run (on an idle pool the
-        # free-slot heap hands partitions 0..K-1 the identically numbered
-        # slots, all starting at scan end). Skew stays scan-only.
-        if self.compute_ms > 0:
-            start = startup_ms + self.planning_ms + scan_elapsed
-            per_partition = self.compute_ms / compute_parallelism
-            for p in range(compute_parallelism):
-                self.task_timeline.append(
-                    TaskRun(
-                        stage="compute", task=p, slot=p, start_ms=start,
-                        end_ms=start + per_partition, cost_ms=per_partition,
-                        winner=True,
-                    )
-                )
-        self.elapsed_ms = (
-            startup_ms
-            + self.planning_ms
-            + scan_elapsed
-            + self.compute_ms / compute_parallelism
-        )
-
 
 @dataclass
 class QueryResult:
@@ -206,9 +120,8 @@ class QueryResult:
     cross_cloud: dict | None = None  # set by the cross-cloud planner
     # The query's span tree (repro.obs.Span) when tracing was enabled.
     trace: Any | None = None
-    # The zero-duration ``scheduler.simulate`` marker span, stashed when
-    # the pool (not finalize) will produce the verdict — the job queue
-    # tags it once the shared-pool simulation settles.
+    # The zero-duration ``scheduler.simulate`` marker span; tagged once
+    # the slot pool settles the verdict (repro.serving.jobs.graft_verdict).
     sched_span: Any | None = None
 
     @property
@@ -496,28 +409,16 @@ class QueryEngine:
                         schema=schema, batches=batches, stats=stats,
                         plan_text=plan_text,
                     )
-        result = self._run_plan(
-            plan, principal, snapshot_ms=snapshot_ms, finalize=False
-        )
+        result = self._run_plan(plan, principal, snapshot_ms=snapshot_ms)
+        # The slot pool settles the verdict on model time once the job is
+        # scheduled; this zero-duration marker span carries it.
+        with self.ctx.tracer.span("scheduler.simulate", layer="scheduler") as span:
+            result.sched_span = span
         if result_key is not None:
             cache.store_result(
                 result_key, result.schema, result.batches, result.plan_text
             )
         return result
-
-    def query(
-        self,
-        sql: str | ast.Select,
-        principal: Principal,
-        snapshot_ms: float | None = None,
-    ) -> QueryResult:
-        """Deprecated alias for :meth:`execute`."""
-        warnings.warn(
-            "QueryEngine.query() is deprecated; use execute()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute(sql, principal, snapshot_ms=snapshot_ms)
 
     def explain_analyze(
         self,
@@ -544,14 +445,11 @@ class QueryEngine:
         plan: PlanNode,
         principal: Principal,
         snapshot_ms: float | None = None,
-        finalize: bool = True,
     ) -> QueryResult:
-        """Execute a physical plan. With ``finalize=True`` (direct callers:
-        the cross-cloud planner's regional subqueries) the single-query
-        scheduler settles the elapsed-time verdict here, as it always has.
-        The job queue passes ``finalize=False``: the real work still runs,
-        but the schedulable shape is handed to the shared slot pool, which
-        produces the verdict under multi-query contention."""
+        """Execute a physical plan: the real work on the sim clock. The
+        elapsed-time verdict is left to the slot pool — the shared pool for
+        jobs, a one-job run (:func:`repro.serving.jobs.settle_solo`) for the
+        cross-cloud planner's regional subqueries."""
         stats = QueryStats()
         ctx = ExecContext(
             engine=self,
@@ -561,26 +459,9 @@ class QueryEngine:
             snapshot_ms=snapshot_ms,
         )
         batches = execute_plan(plan, ctx)
-        # The scheduler runs on model time only — the span below is
-        # zero-duration on the sim clock, a marker carrying the verdict.
-        with self.ctx.tracer.span("scheduler.simulate", layer="scheduler") as span:
-            if finalize:
-                stats.finalize(
-                    self.slots, self.ctx.costs.slot_startup_ms, self.shuffle_partitions,
-                    faults=self.ctx.faults, speculation=self.speculation,
-                )
-                if stats.task_timeline:
-                    span.set_tag("tasks", sum(s.tasks for s in stats.scan_stages))
-                    span.set_tag("task_skew", round(stats.task_skew, 4))
-                    span.set_tag("speculative", stats.speculative_count)
-        if finalize:
-            self._record_scheduler_metrics(stats)
-        result = QueryResult(
+        return QueryResult(
             schema=plan.schema, batches=batches, stats=stats, plan_text=plan.describe()
         )
-        if not finalize:
-            result.sched_span = span
-        return result
 
     def _record_scheduler_metrics(self, stats: QueryStats) -> None:
         if not stats.task_timeline:

@@ -29,6 +29,7 @@ from repro.engine.plan import (
 )
 from repro.metastore.catalog import TableInfo, TableKind
 from repro.security.iam import Principal
+from repro.serving.jobs import settle_solo
 from repro.sql import ast_nodes as ast
 
 _TEMP_DATASET = "_xc_temp"
@@ -71,6 +72,7 @@ class CrossCloudQueryPlanner:
         ) as span:
             rewritten = self._relocate_remote_scans(plan, principal, primary_engine, report)
             result = primary_engine._run_plan(rewritten, principal)
+            settle_solo(primary_engine, result)
             span.set_tag("subqueries", len(report.subqueries))
             span.set_tag("bytes_moved", report.total_bytes_moved)
         result.cross_cloud = {
@@ -94,6 +96,7 @@ class CrossCloudQueryPlanner:
                 plan, principal, primary_engine, report, push_filters=False
             )
             result = primary_engine._run_plan(rewritten, principal)
+            settle_solo(primary_engine, result)
         result.cross_cloud = {
             "subqueries": len(report.subqueries),
             "bytes_moved": report.total_bytes_moved,
@@ -182,6 +185,7 @@ class CrossCloudQueryPlanner:
         ) as span:
             t0 = platform.ctx.clock.now_ms
             remote_result = remote_engine._run_plan(remote_scan, principal)
+            settle_solo(remote_engine, remote_result)
             remote_elapsed = platform.ctx.clock.now_ms - t0
 
             # Stream results back to the primary region (high-throughput

@@ -24,10 +24,11 @@ in admission order, and the pool interleaves only *model* time — so a
 seeded many-principal run replays byte-identically, chaos plans included.
 
 Statements submitted while a drain (or an inline nested execution) is in
-progress — e.g. the SELECT inside a CTAS — execute inline through the
-classic single-query path: their stats are finalized by
-:meth:`~repro.engine.engine.QueryStats.finalize` exactly as before, and
-the enclosing job passes through the pool as opaque seat occupancy.
+progress — e.g. the SELECT inside a CTAS — execute inline and settle at
+once as a one-job run on a private pool; the enclosing job passes through
+the shared pool as opaque seat occupancy. Either way one conversion
+(:func:`pool_execution`) turns a statement's stats into pool work and one
+graft (:func:`graft_verdict`) copies the pool's verdict back.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from repro.sql import ast_nodes as ast
 from repro.sql.parser import parse_statement
 
 if TYPE_CHECKING:
-    from repro.engine.engine import QueryEngine, QueryResult
+    from repro.engine.engine import QueryEngine, QueryResult, QueryStats
     from repro.security.iam import Principal
 
 
@@ -70,12 +71,83 @@ class ServingConfig:
     # Admission control: jobs concurrently drawing from the slot pool.
     max_concurrent_jobs: int = 8
     # Inter-stage overlap: a stage's tasks become runnable as soon as
-    # their input partitions land. Off by default so solo queries keep the
-    # exact single-query scheduler verdict; the serve driver turns it on.
+    # their input partitions land. Off by default (a job's stages run in
+    # sequence, as in every one-job run); the serve driver turns it on.
     inter_stage_overlap: bool = False
     # Reservation weights per principal ("user:alice" form); a principal
     # with weight 2 gets twice the slot share of weight 1 under contention.
     weights: dict[str, float] = field(default_factory=dict)
+
+
+def pool_execution(engine: "QueryEngine", stats: "QueryStats") -> PoolExecution:
+    """The schedulable shape of one executed SELECT on ``engine``.
+
+    Straggler factors are probed here: ``task.slow`` once per task, stage
+    order then index order, so the fault RNG stream is independent of
+    pool state, slot count and speculation. Scan work recorded without a
+    stage (ML batch scoring) becomes the serial ``tail_ms`` under the
+    uniform wave model: 3 equal tasks on 2 slots take 2 waves, so 2/3 of
+    the work elapses, not the 1.5 "waves" plain division would claim.
+    """
+    ctx = engine.ctx
+    stages = [
+        PoolStage(
+            stage.stage,
+            list(stage.task_costs),
+            [
+                ctx.faults.slowdown("task.slow", stage=stage.stage, task=i)
+                for i in range(stage.tasks)
+            ],
+        )
+        for stage in stats.scan_stages
+    ]
+    leftover_tasks = stats.scan_tasks - sum(s.tasks for s in stats.scan_stages)
+    leftover_ms = stats.scan_work_ms - sum(s.scan_ms for s in stats.scan_stages)
+    tail_ms = 0.0
+    if leftover_ms > 1e-9:  # float residue from the += accumulation is not work
+        tasks = max(1, leftover_tasks)
+        tail_ms = leftover_ms * math.ceil(tasks / max(1, engine.slots)) / tasks
+    return PoolExecution(
+        prelude_ms=ctx.costs.slot_startup_ms + stats.planning_ms,
+        stages=stages,
+        tail_ms=tail_ms,
+        compute_ms=stats.compute_ms,
+        compute_tasks=max(1, min(engine.slots, engine.shuffle_partitions)),
+        speculation=engine.speculation,
+    )
+
+
+def graft_verdict(
+    engine: "QueryEngine", result: "QueryResult", verdict: JobVerdict
+) -> None:
+    """Copy a pool verdict onto a SELECT's stats, tag its
+    ``scheduler.simulate`` marker span, and record the scheduler metrics."""
+    stats = result.stats
+    stats.shuffle_partitions = engine.shuffle_partitions
+    stats.compute_parallelism = max(1, min(engine.slots, engine.shuffle_partitions))
+    stats.slot_ms = stats.planning_ms + stats.scan_work_ms + stats.compute_ms
+    stats.elapsed_ms = verdict.elapsed_ms
+    stats.task_timeline = list(verdict.runs)
+    stats.task_skew = verdict.task_skew
+    stats.speculative_count = verdict.speculative_launched
+    stats.speculative_wins = verdict.speculative_wins
+    span = result.sched_span
+    if span is not None and stats.task_timeline:
+        span.set_tag("tasks", sum(s.tasks for s in stats.scan_stages))
+        span.set_tag("task_skew", round(stats.task_skew, 4))
+        span.set_tag("speculative", stats.speculative_count)
+    engine._record_scheduler_metrics(stats)
+
+
+def settle_solo(engine: "QueryEngine", result: "QueryResult") -> None:
+    """Settle an executed plan that is not a job of its own (the
+    cross-cloud planner's regional subqueries) as a one-job run on an
+    otherwise-empty pool. The straggler probes fire inside its
+    zero-duration ``scheduler.simulate`` marker span."""
+    with engine.ctx.tracer.span("scheduler.simulate", layer="scheduler") as span:
+        result.sched_span = span
+        verdict = SlotPool(engine.slots).run_solo(pool_execution(engine, result.stats))
+    graft_verdict(engine, result, verdict)
 
 
 class QueryJob:
@@ -191,7 +263,7 @@ class JobQueue:
         self._pending: list[QueryJob] = []
         self._jobs_by_id: dict[str, QueryJob] = {}
         self._depth = 0  # >0 while executing (drain or inline): nested
-        # submits run inline through the classic single-query path.
+        # submits run inline as one-job runs on a private pool.
         self._active_pool: SlotPool | None = None
         self._active_keys: dict[int, QueryJob] = {}
         self._on_admit_hooks: list[Any] = []
@@ -347,15 +419,16 @@ class JobQueue:
         outcomes: dict[int, dict[str, Any]] = {}
         self._active_pool = pool
         self._active_keys = {i: job for i, job in enumerate(jobs)}
+
+        def execute(key: int, admitted_ms: float):
+            work, outcomes[key] = self._execute_for_pool(
+                jobs[key], anchor + admitted_ms
+            )
+            return work
+
         self._depth += 1
         try:
-            verdicts = pool.run(
-                arrivals,
-                lambda key, admitted_ms: self._execute_for_pool(
-                    jobs[key], anchor, admitted_ms, outcomes, key
-                ),
-                on_admit=self._fire_admit_hooks,
-            )
+            verdicts = pool.run(arrivals, execute, on_admit=self._fire_admit_hooks)
         finally:
             self._depth -= 1
             self._active_pool = None
@@ -393,20 +466,15 @@ class JobQueue:
             return 0.0
         return metrics.get("repro_cache_bypass_total").total()
 
-    def _execute_for_pool(
-        self,
-        job: QueryJob,
-        anchor: float,
-        admitted_ms: float,
-        outcomes: dict[int, dict[str, Any]],
-        key: int,
-    ):
-        """The pool's admission callback: run the job's *real* work on the
-        sim clock, report its schedulable shape back in model time."""
+    def _execute_for_pool(self, job: QueryJob, start_ms: float):
+        """Run a job's *real* work on the sim clock, admitted at absolute
+        time ``start_ms``; return its schedulable shape in model time and
+        the outcome :meth:`_settle` needs. Shared by the drain's admission
+        callback and the inline path."""
         engine = job.engine
         ctx = engine.ctx
         job.state = RUNNING
-        job.start_ms = anchor + admitted_ms
+        job.start_ms = start_ms
         job.queue_wait_ms = job.start_ms - job.creation_ms
         if job.record is not None:
             job.record.state = RUNNING
@@ -427,62 +495,31 @@ class JobQueue:
                 sql_text=job.cache_sql, use_query_cache=job.use_query_cache,
             )
         except Exception as exc:
-            outcomes[key] = {
+            outcome: dict[str, Any] = {
                 "error": exc,
                 "trace": engine._last_root if ctx.tracer.enabled else None,
-                "metering_before": metering_before,
-                "retry_count": ctx.metering.op_counts.get("repro.retry", 0)
-                - retries_before,
-                "degraded": ctx.metering.op_counts.get("repro.degraded", 0)
-                > degraded_before,
-                "cache_bypass": self._cache_bypass_total(ctx) - bypass_before,
             }
-            return PoolOpaque(ctx.clock.now_ms - clock_before, failed=True)
+        else:
+            outcome = {"result": result}
         finally:
             if audit is not None:
                 audit.current_job_id = prev_job_id
-        outcomes[key] = {
-            "result": result,
-            "metering_before": metering_before,
-            "retry_count": ctx.metering.op_counts.get("repro.retry", 0)
-            - retries_before,
-            "degraded": ctx.metering.op_counts.get("repro.degraded", 0)
-            > degraded_before,
-            "cache_bypass": self._cache_bypass_total(ctx) - bypass_before,
-        }
+        outcome["metering_before"] = metering_before
+        outcome["retry_count"] = (
+            ctx.metering.op_counts.get("repro.retry", 0) - retries_before
+        )
+        outcome["degraded"] = (
+            ctx.metering.op_counts.get("repro.degraded", 0) > degraded_before
+        )
+        outcome["cache_bypass"] = self._cache_bypass_total(ctx) - bypass_before
+        if "error" in outcome:
+            return PoolOpaque(ctx.clock.now_ms - clock_before, failed=True), outcome
         if job.kind != "select":
             # DML shells: inner statements already ran as inline jobs (and
             # CTAS reuses the inner stats); model them as seat occupancy,
             # exactly the serial path's timing.
-            return PoolOpaque(ctx.clock.now_ms - clock_before)
-        stats = result.stats
-        faults = ctx.faults
-        stages = []
-        for stage in stats.scan_stages:
-            slow = [1.0] * stage.tasks
-            if faults is not None:
-                # Same hazard point, same order as the single-query
-                # scheduler: once per task, index order — the fault RNG
-                # stream is independent of pool state.
-                for i in range(stage.tasks):
-                    slow[i] = faults.slowdown("task.slow", stage=stage.stage, task=i)
-            stages.append(PoolStage(stage.stage, list(stage.task_costs), slow))
-        # Legacy wave model for stage-less scan work (ML batch scoring).
-        leftover_tasks = stats.scan_tasks - sum(s.tasks for s in stats.scan_stages)
-        leftover_ms = stats.scan_work_ms - sum(s.scan_ms for s in stats.scan_stages)
-        tail_ms = 0.0
-        if leftover_ms > 1e-9:
-            tasks = max(1, leftover_tasks)
-            waves = math.ceil(tasks / max(1, engine.slots))
-            tail_ms = leftover_ms * waves / tasks
-        return PoolExecution(
-            prelude_ms=ctx.costs.slot_startup_ms + stats.planning_ms,
-            stages=stages,
-            tail_ms=tail_ms,
-            compute_ms=stats.compute_ms,
-            compute_tasks=max(1, min(engine.slots, engine.shuffle_partitions)),
-            speculation=engine.speculation,
-        )
+            return PoolOpaque(ctx.clock.now_ms - clock_before), outcome
+        return pool_execution(engine, result.stats), outcome
 
     # -- terminal transitions -----------------------------------------------
 
@@ -492,10 +529,14 @@ class JobQueue:
         anchor: float,
         verdict: JobVerdict | None,
         outcome: dict[str, Any] | None,
+        end_ms: float | None = None,
     ) -> None:
+        """Land a verdict in the job handle, metrics and history. The end
+        stamp is ``anchor + verdict.end_ms`` unless ``end_ms`` overrides
+        it (inline jobs end on the sim clock after their real work)."""
         if verdict is None:  # defensive: the pool verdicts every arrival
             return
-        end_abs = anchor + verdict.end_ms
+        end_abs = anchor + verdict.end_ms if end_ms is None else end_ms
         if verdict.state == "cancelled":
             job.state = CANCELLED
             job.end_ms = end_abs
@@ -519,28 +560,10 @@ class JobQueue:
                 degraded=outcome.get("degraded", False),
             )
             return
-        # Success: graft the pool verdict onto the query stats (the moral
-        # equivalent of QueryStats.finalize, with pool-level contention).
         result = outcome["result"]
-        engine = job.engine
         stats = result.stats
         if job.kind == "select":
-            stats.shuffle_partitions = engine.shuffle_partitions
-            stats.compute_parallelism = max(
-                1, min(engine.slots, engine.shuffle_partitions)
-            )
-            stats.slot_ms = stats.planning_ms + stats.scan_work_ms + stats.compute_ms
-            stats.elapsed_ms = verdict.elapsed_ms
-            stats.task_timeline = list(verdict.runs)
-            stats.task_skew = verdict.task_skew
-            stats.speculative_count = verdict.speculative_launched
-            stats.speculative_wins = verdict.speculative_wins
-            span = getattr(result, "sched_span", None)
-            if span is not None and stats.task_timeline:
-                span.set_tag("tasks", sum(s.tasks for s in stats.scan_stages))
-                span.set_tag("task_skew", round(stats.task_skew, 4))
-                span.set_tag("speculative", stats.speculative_count)
-            engine._record_scheduler_metrics(stats)
+            graft_verdict(job.engine, result, verdict)
         stats.retry_count = outcome.get("retry_count", 0)
         stats.degraded = outcome.get("degraded", False)
         job.state = SUCCEEDED
@@ -592,79 +615,16 @@ class JobQueue:
     # -- inline (nested / blocking) execution --------------------------------
 
     def _run_inline(self, job: QueryJob) -> None:
-        """Execute one job through the classic single-query path — used for
-        statements submitted while a drain or another execution is already
-        on the stack (CTAS/INSERT..SELECT inner queries). The stats are
-        finalized by ``QueryStats.finalize`` exactly as pre-redesign."""
-        engine = job.engine
-        ctx = engine.ctx
-        start_ms = ctx.clock.now_ms
-        job.state = RUNNING
-        job.start_ms = start_ms
-        if job.record is not None:
-            job.record.state = RUNNING
-            job.record.start_ms = start_ms
-        metering_before = ctx.metering.snapshot() if self.history is not None else None
-        retries_before = ctx.metering.op_counts.get("repro.retry", 0)
-        degraded_before = ctx.metering.op_counts.get("repro.degraded", 0)
-        audit = getattr(engine.read_api, "audit", None)
-        prev_job_id = audit.current_job_id if audit is not None else ""
-        if audit is not None:
-            audit.current_job_id = job.job_id
-        try:
-            result = engine._execute_statement(
-                job.statement, job.principal, job.kind, job.snapshot_ms,
-                sql_text=job.cache_sql, use_query_cache=job.use_query_cache,
-            )
-        except Exception as exc:
-            job.state = FAILED
-            job._error = exc
-            job.end_ms = ctx.clock.now_ms
-            self._record_terminal(
-                job,
-                error=str(exc),
-                exc=exc,
-                trace=engine._last_root if ctx.tracer.enabled else None,
-                metering_before=metering_before,
-                retry_count=ctx.metering.op_counts.get("repro.retry", 0)
-                - retries_before,
-                degraded=ctx.metering.op_counts.get("repro.degraded", 0)
-                > degraded_before,
-            )
-            return
-        finally:
-            if audit is not None:
-                audit.current_job_id = prev_job_id
-        if job.kind == "select":
-            stats = result.stats
-            span = getattr(result, "sched_span", None)
-            stats.finalize(
-                engine.slots, ctx.costs.slot_startup_ms, engine.shuffle_partitions,
-                faults=ctx.faults, speculation=engine.speculation,
-            )
-            if span is not None and stats.task_timeline:
-                span.set_tag("tasks", sum(s.tasks for s in stats.scan_stages))
-                span.set_tag("task_skew", round(stats.task_skew, 4))
-                span.set_tag("speculative", stats.speculative_count)
-            engine._record_scheduler_metrics(stats)
-        result.stats.retry_count = (
-            ctx.metering.op_counts.get("repro.retry", 0) - retries_before
-        )
-        result.stats.degraded = (
-            ctx.metering.op_counts.get("repro.degraded", 0) > degraded_before
-        )
-        job.state = SUCCEEDED
-        job.end_ms = ctx.clock.now_ms
-        job._result = result
-        self._observe_query_metrics(job, result)
-        self._record_terminal(
-            job,
-            result=result,
-            trace=result.trace,
-            metering_before=metering_before,
-            retry_count=result.stats.retry_count,
-            degraded=result.stats.degraded,
-        )
+        """Execute one job submitted while a drain or another execution is
+        already on the stack (the SELECT inside a CTAS, INSERT..SELECT or
+        MERGE) and settle it at once as a one-job run on a private pool.
+        The enclosing job holds the shared pool's seat meanwhile, so the
+        nested run neither queues nor feeds the fleet monitor."""
+        clock = job.engine.ctx.clock
+        start_ms = clock.now_ms
+        work, outcome = self._execute_for_pool(job, start_ms)
+        verdict = SlotPool(job.engine.slots).run_solo(work)
+        self._settle(job, start_ms, verdict, outcome, end_ms=clock.now_ms)
 
     # -- history ------------------------------------------------------------
 

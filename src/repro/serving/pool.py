@@ -1,15 +1,17 @@
-"""Shared slot pool: a multi-job discrete-event scheduler on model time.
+"""The slot pool: the one elapsed-time model, a discrete-event scheduler
+on model time.
 
-PR 5's :class:`~repro.engine.scheduler.SlotScheduler` simulates one query's
-scan stages over a private pool. This module promotes that simulation to a
-*platform* resource: N in-flight jobs draw tasks from one pool of ``slots``
-execution slots behind an admission-control gate, the way BigQuery serves
-many principals' queries against one reservation.
+Every statement's verdict — elapsed time, per-task timeline, skew and
+speculation counts — comes from a :class:`SlotPool` run. Drained jobs
+share one pool of ``slots`` execution slots behind an admission-control
+gate, the way BigQuery serves many principals' queries against one
+reservation; nested statements (the SELECT inside a CTAS) and the
+cross-cloud planner's regional subqueries get a one-job run on an
+otherwise-empty pool (:meth:`SlotPool.run_solo`).
 
-The pool is a pure model: like the per-query scheduler it never touches
-the sim clock, never draws randomness (straggler factors are probed by the
-caller and passed in), and is a replayable function of its inputs. The
-building blocks:
+The pool is a pure model: it never touches the sim clock, never draws
+randomness (straggler factors are probed by the caller and passed in),
+and is a replayable function of its inputs. The building blocks:
 
 * **Arrivals + admission control** — jobs arrive at submit-time offsets;
   at most ``max_concurrent_jobs`` occupy the pool at once. When a seat
@@ -21,23 +23,25 @@ building blocks:
   weighted slot-time consumed so far (``ServingConfig.weights`` expresses
   reservations: weight 2 ≈ twice the slot share under contention).
 * **Per-job structure** — each admitted job contributes a serial *prelude*
-  (slot startup + planning), its scan stages (LPT task lists with
-  pre-probed straggler factors), an optional stage-less *tail* (legacy
-  wave-model work), and a *compute* phase split over
+  (slot startup + planning), its scan stages, an optional stage-less
+  *tail* (uniform wave-model work), and a *compute* phase split over
   ``min(slots, shuffle_partitions)`` partitions.
-* **Inter-stage overlap** — off (default) a job's stages run in sequence,
-  exactly reproducing the single-query scheduler; on, every scan stage's
-  tasks become runnable at prelude end and compute partition ``p`` starts
-  as soon as the scan tasks feeding it (task index ≡ p mod K, per stage)
-  have landed, not when the whole prior stage drains.
-* **Speculation** — identical policy to the single-query scheduler, with
-  the "no pending work" condition widened to the whole pool: backups only
-  ever use slots no job has runnable work for, so they still never hurt.
-
-A solo job on an otherwise-empty pool reproduces the single-query
-scheduler verdict exactly — task for task, slot for slot — which is what
-keeps every pre-existing single-query result unchanged by the redesign
-(and is pinned by a test).
+* **LPT list scheduling** — a stage's tasks are placed longest (healthy
+  estimate) first and a slot that frees up takes the next pending task,
+  the classic greedy list schedule. For *n* equal tasks on *s* slots the
+  makespan is exactly ``ceil(n/s) * per_task_cost``.
+* **Stragglers** — a task's pre-probed ``task.slow`` factor multiplies its
+  cost; the scheduler learns of it only when the task fails to come back.
+* **Inter-stage overlap** — off (default) a job's stages run in sequence;
+  on, every scan stage's tasks become runnable at prelude end and compute
+  partition ``p`` starts as soon as the scan tasks feeding it (task index
+  ≡ p mod K, per stage) have landed, not when the whole prior stage drains.
+* **Speculation** — once at least ``min_completed`` tasks of a stage have
+  finished and no job has runnable work, any task running longer than
+  ``quantile(completed durations) * threshold_multiplier`` gets a backup
+  copy on a free slot. The backup runs at the task's healthy cost;
+  whichever copy finishes first wins and the loser is cancelled, freeing
+  its slot. Backups only ever use otherwise-idle slots.
 """
 
 from __future__ import annotations
@@ -133,7 +137,8 @@ class _StageState:
         self.costs = stage.costs
         self.slow = stage.slow
         self.n = len(stage.costs)
-        # LPT on the healthy estimate, same order as SlotScheduler.
+        # LPT on the healthy estimate: the scheduler does not know which
+        # tasks a fault slowed until they fail to come back.
         self.pending: deque[int] = deque(
             sorted(range(self.n), key=lambda i: (-stage.costs[i], i))
         )
@@ -158,7 +163,8 @@ class _JobState:
         self.principal = principal
         self.admitted_ms = admitted_ms
         self.prelude_end = admitted_ms + work.prelude_ms
-        self.stages = [_StageState(s) for s in work.stages]
+        # A stage without tasks has nothing to wait for.
+        self.stages = [_StageState(s) for s in work.stages if s.costs]
         self.tail_ms = work.tail_ms
         self.tail_done = False
         self.compute_ms = work.compute_ms
@@ -261,6 +267,12 @@ class SlotPool:
             elif kind == _JOB_END:
                 self._opaque_end(payload, now)
         return self._verdicts
+
+    def run_solo(self, work: "PoolExecution | PoolOpaque") -> JobVerdict:
+        """The verdict for one already-executed job arriving at offset 0 on
+        this otherwise-empty pool."""
+        arrival = PoolArrival(key=0, principal="", arrival_ms=0.0)
+        return self.run([arrival], lambda key, admitted_ms: work)[0]
 
     # -- event plumbing -----------------------------------------------------
 

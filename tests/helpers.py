@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 from repro import LakehousePlatform, Role
 from repro.data import DataType, Schema, batch_from_pydict
+from repro.engine.engine import QueryEngine, QueryResult, QueryStats, StageScan
 from repro.metastore.catalog import MetadataCacheMode
+from repro.serving.jobs import settle_solo
+from repro.simtime import SimContext
 from repro.storageapi.fileutil import write_data_file
 
 SALES_SCHEMA = Schema.of(
@@ -13,6 +19,35 @@ SALES_SCHEMA = Schema.of(
     ("amount", DataType.FLOAT64),
     ("year", DataType.INT64),
 )
+
+
+def stage_stats(costs: list[float], stage: str = "t") -> QueryStats:
+    """Stats of one scan stage whose per-task costs are ``costs``."""
+    return QueryStats(
+        scan_work_ms=sum(costs),
+        scan_tasks=len(costs),
+        scan_stages=[StageScan(stage, sum(costs), list(costs))],
+    )
+
+
+def settle_stats(
+    stats: QueryStats,
+    slots: int,
+    *,
+    startup_ms: float = 0.0,
+    faults=None,
+    speculation=None,
+) -> QueryStats:
+    """Settle ``stats`` as a one-job slot-pool run on a bare engine with
+    ``slots`` slots; ``faults`` (a FaultInjector) supplies ``task.slow``
+    factors. Returns ``stats`` with the verdict grafted on."""
+    ctx = faults.ctx if faults is not None else SimContext()
+    ctx.costs = replace(ctx.costs, slot_startup_ms=startup_ms)
+    engine = QueryEngine(
+        SimpleNamespace(ctx=ctx), catalog=None, slots=slots, speculation=speculation
+    )
+    settle_solo(engine, QueryResult(schema=Schema.of(), batches=[], stats=stats))
+    return stats
 
 
 def make_platform():

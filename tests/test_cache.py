@@ -18,7 +18,7 @@ from repro.faults import FaultSpec
 from repro.simtime import SimContext
 from repro.storageapi.read_api import SessionStats
 
-from tests.helpers import make_platform, setup_sales_lake
+from tests.helpers import make_platform, settle_stats, setup_sales_lake
 
 SALES_SQL = (
     "SELECT region, COUNT(*) AS n, SUM(amount) AS total "
@@ -236,7 +236,8 @@ class TestCacheObservability:
 
 
 class TestWaveModelFinalize:
-    """Satellite: elapsed time uses ceil(tasks / slots) waves."""
+    """Stage-less scan work takes ceil(tasks / slots) waves (a one-job
+    slot-pool run of the stats)."""
 
     def _stats(self, tasks: int) -> QueryStats:
         stats = QueryStats()
@@ -245,20 +246,17 @@ class TestWaveModelFinalize:
         return stats
 
     def test_three_tasks_on_two_slots_take_two_waves(self):
-        stats = self._stats(3)
-        stats.finalize(slots=2, startup_ms=0.0)
+        stats = settle_stats(self._stats(3), 2)
         # ceil(3/2) = 2 waves: 2/3 of the scan work elapses, not 1/2.
         assert stats.elapsed_ms == pytest.approx(120.0 * 2 / 3)
 
     def test_tasks_at_or_below_slots_take_one_wave(self):
         for tasks in (1, 2, 4):
-            stats = self._stats(tasks)
-            stats.finalize(slots=4, startup_ms=0.0)
+            stats = settle_stats(self._stats(tasks), 4)
             assert stats.elapsed_ms == pytest.approx(120.0 / tasks)
 
     def test_many_waves(self):
-        stats = self._stats(10)
-        stats.finalize(slots=4, startup_ms=0.0)
+        stats = settle_stats(self._stats(10), 4)
         assert stats.elapsed_ms == pytest.approx(120.0 * 3 / 10)
 
 

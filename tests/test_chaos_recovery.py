@@ -194,10 +194,13 @@ class TestRetrySafeScanAccounting:
         assert "repro.retry" not in platform.ctx.metering.op_counts
 
     def test_legacy_injected_fault_still_fatal(self, lake):
-        # inject_fault raises plain (non-transient) StorageError: the retry
-        # layer must pass it through untouched.
+        # A plain (non-transient) StorageError: the retry layer must pass
+        # it through untouched.
         platform, admin, _, store = lake
-        store.inject_fault("get", 1)
+        platform.ctx.faults.add(FaultSpec(
+            op="objectstore.get", error="StorageError", count=1,
+            match=(("store", store.name),),
+        ))
         with pytest.raises(StorageError) as err:
             platform.home_engine.execute(SALES_SQL, admin)
         assert not isinstance(err.value, UnavailableError)

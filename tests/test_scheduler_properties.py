@@ -1,5 +1,7 @@
 """Property tests for the elapsed-time model (seeded loops, no hypothesis).
 
+Each run settles one scan stage as a one-job slot-pool run.
+
 Three contracts from the scheduler redesign:
 
 * **Slots monotonicity** — for the healthy model (no straggler injection),
@@ -22,10 +24,10 @@ import random
 
 import pytest
 
-from repro.engine.scheduler import SlotScheduler, SpeculationConfig
+from repro.engine.scheduler import SpeculationConfig
 from repro.faults import FaultPlan
 
-from tests.helpers import make_platform, setup_sales_lake
+from tests.helpers import make_platform, settle_stats, setup_sales_lake, stage_stats
 
 NO_SPEC = SpeculationConfig(enabled=False)
 
@@ -39,6 +41,13 @@ def random_costs(rng: random.Random, n: int) -> list[float]:
     return [rng.uniform(0.05, 25.0) for _ in range(n)]
 
 
+def run_stage(slots, costs, *, faults=None, speculation=None):
+    """One scan stage as a one-job pool run; stats carry the verdict."""
+    return settle_stats(
+        stage_stats(costs), slots, faults=faults, speculation=speculation
+    )
+
+
 class TestSlotsMonotonicity:
     def test_more_slots_never_slower_healthy(self):
         for trial in range(120):
@@ -46,11 +55,7 @@ class TestSlotsMonotonicity:
             costs = random_costs(rng, rng.randint(1, 24))
             prev = None
             for slots in range(1, 10):
-                makespan = (
-                    SlotScheduler(slots, speculation=NO_SPEC)
-                    .run_stage("t", costs)
-                    .makespan_ms
-                )
+                makespan = run_stage(slots, costs, speculation=NO_SPEC).elapsed_ms
                 if prev is not None:
                     assert makespan <= prev + 1e-9, (trial, slots, costs)
                 prev = makespan
@@ -60,11 +65,7 @@ class TestSlotsMonotonicity:
             rng = random.Random(1000 + trial)
             costs = random_costs(rng, rng.randint(1, 24))
             slots = rng.randint(1, 8)
-            makespan = (
-                SlotScheduler(slots, speculation=NO_SPEC)
-                .run_stage("t", costs)
-                .makespan_ms
-            )
+            makespan = run_stage(slots, costs, speculation=NO_SPEC).elapsed_ms
             lower = max(sum(costs) / slots, max(costs))
             assert lower - 1e-9 <= makespan <= sum(costs) + 1e-9
 
@@ -80,9 +81,10 @@ class TestSkewNeverWins:
             n = slots * rng.randint(1, 5)
             skewed = random_costs(rng, n)
             total = sum(skewed)
-            scheduler = SlotScheduler(slots, speculation=NO_SPEC)
-            uniform_ms = scheduler.run_stage("u", [total / n] * n).makespan_ms
-            skewed_ms = scheduler.run_stage("s", skewed).makespan_ms
+            uniform_ms = run_stage(
+                slots, [total / n] * n, speculation=NO_SPEC
+            ).elapsed_ms
+            skewed_ms = run_stage(slots, skewed, speculation=NO_SPEC).elapsed_ms
             assert uniform_ms == pytest.approx(total / slots)
             assert skewed_ms >= uniform_ms - 1e-9, (trial, slots, skewed)
 
@@ -155,30 +157,29 @@ class TestChaosSlotBounds:
         for trial in range(60):
             costs = self.costs_for(trial)
             for slots in range(1, 9):
-                off = SlotScheduler(
-                    slots, faults=self.injector(trial), speculation=NO_SPEC
-                ).run_stage("t", costs)
-                on = SlotScheduler(slots, faults=self.injector(trial)).run_stage(
-                    "t", costs
+                off = run_stage(
+                    slots, costs, faults=self.injector(trial), speculation=NO_SPEC
                 )
-                inflated = [r.duration_ms for r in off.runs]
+                on = run_stage(slots, costs, faults=self.injector(trial))
+                inflated = [r.duration_ms for r in off.task_timeline]
                 bound = sum(inflated) / slots + max(inflated) + 1e-9
-                assert off.makespan_ms <= bound, (trial, slots)
+                assert off.elapsed_ms <= bound, (trial, slots)
                 # Speculation never makes the stage slower, so the same
                 # bound caps the speculative makespan too.
-                assert on.makespan_ms <= off.makespan_ms + 1e-9, (trial, slots)
-                assert on.makespan_ms <= bound, (trial, slots)
+                assert on.elapsed_ms <= off.elapsed_ms + 1e-9, (trial, slots)
+                assert on.elapsed_ms <= bound, (trial, slots)
 
     def test_straggler_factors_independent_of_slot_count(self):
         for trial in (0, 17, 32, 45):
             costs = self.costs_for(trial)
             reference = None
             for slots in (1, 3, 8):
-                off = SlotScheduler(
-                    slots, faults=self.injector(trial), speculation=NO_SPEC
-                ).run_stage("t", costs)
+                off = run_stage(
+                    slots, costs, faults=self.injector(trial), speculation=NO_SPEC
+                )
                 factors = tuple(
-                    r.slow_factor for r in sorted(off.runs, key=lambda r: r.task)
+                    r.slow_factor
+                    for r in sorted(off.task_timeline, key=lambda r: r.task)
                 )
                 if reference is None:
                     reference = factors
@@ -190,6 +191,6 @@ class TestChaosSlotBounds:
         stragglers and speculation interact — yet stays within the
         inflated bound (checked above for every trial)."""
         costs = self.costs_for(32)
-        three = SlotScheduler(3, faults=self.injector(32)).run_stage("t", costs)
-        four = SlotScheduler(4, faults=self.injector(32)).run_stage("t", costs)
-        assert four.makespan_ms > three.makespan_ms + 1e-6
+        three = run_stage(3, costs, faults=self.injector(32))
+        four = run_stage(4, costs, faults=self.injector(32))
+        assert four.elapsed_ms > three.elapsed_ms + 1e-6

@@ -18,11 +18,12 @@ import pytest
 
 from repro.core.platform import LakehousePlatform, PlatformConfig
 from repro.errors import AnalysisError, JobCancelledError, NotFoundError
+from repro.faults import FaultPlan
 from repro.security.iam import Role
 from repro.serving.jobs import ServingConfig
 from repro.serving.workload import run_serve
 
-from tests.helpers import make_platform, setup_sales_lake
+from tests.helpers import setup_sales_lake
 
 SALES_SQL = (
     "SELECT region, SUM(amount) AS total FROM ds.sales "
@@ -107,6 +108,55 @@ class TestLifecycle:
         with pytest.raises(NotFoundError):  # terminal: re-raised, not re-run
             job.wait()
         assert platform.job(job.job_id).state == "FAILED"
+
+
+class TestInlineMatchesDrained:
+    """The SELECT inside a CTAS runs inline and settles as a one-job pool
+    run; submitted on its own, the same statement is drained over the
+    shared pool. Same seed and platform state: the same verdict."""
+
+    SKEW_SQL = (
+        "SELECT region, COUNT(*) AS n, SUM(amount) AS total "
+        "FROM demo.events GROUP BY region"
+    )
+
+    def select_job(self, via_ctas: bool):
+        from repro.__main__ import _build_skewed_platform
+
+        platform, admin = _build_skewed_platform()
+        platform.ctx.faults.install(
+            FaultPlan.parse(["task.slow:rate=0.3:factor=8"], seed=7)
+        )
+        engine = platform.home_engine
+        if via_ctas:
+            engine.execute(f"CREATE TABLE demo.summary AS {self.SKEW_SQL}", admin)
+        else:
+            engine.execute(self.SKEW_SQL, admin)
+        job_id, state, total_ms, queue_wait_ms = engine.execute(
+            "SELECT job_id, state, total_ms, queue_wait_ms FROM INFORMATION_SCHEMA.JOBS "
+            "WHERE kind = 'select' ORDER BY job_id LIMIT 1",
+            admin,
+        ).rows()[0]
+        attempts = engine.execute(
+            "SELECT start_ms, duration_ms, tags FROM INFORMATION_SCHEMA.JOBS_TIMELINE "
+            f"WHERE job_id = '{job_id}' AND name = 'scheduler.task' "
+            "ORDER BY span_id",
+            admin,
+        ).rows()
+        return state, total_ms, queue_wait_ms, attempts
+
+    def test_inline_and_drained_verdicts_agree(self):
+        drained = self.select_job(via_ctas=False)
+        inline = self.select_job(via_ctas=True)
+        state, total_ms, queue_wait_ms, attempts = drained
+        assert state == inline[0] == "SUCCEEDED"
+        assert total_ms == inline[1]
+        assert queue_wait_ms == inline[2] == 0.0
+        assert attempts == inline[3]
+        # Non-trivial: a straggler fired and the skewed stage has several
+        # attempts beside the compute partitions.
+        assert any("slow_factor=8" in tags for _, _, tags in attempts)
+        assert sum("stage=compute" not in tags for _, _, tags in attempts) > 1
 
 
 class TestAdmissionOrdering:
