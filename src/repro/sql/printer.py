@@ -2,8 +2,8 @@
 
 Used when the engine pushes predicates down into Read API sessions: the
 Read API's protocol carries row restrictions as SQL text (like the real
-``row_restriction`` field), so pushed filters round-trip through the
-printer and the parser.
+``row_restriction`` field). The Read API parses that text once per session,
+at ``create_read_session``; it is not re-parsed per stream, file or hop.
 """
 
 from __future__ import annotations

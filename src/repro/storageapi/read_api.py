@@ -39,6 +39,7 @@ from repro.security.audit import AuditLog
 from repro.security.connections import ConnectionManager
 from repro.security.iam import IamService, Permission, Principal
 from repro.simtime import MIB, SimContext
+from repro.sql import ast_nodes as ast
 from repro.sql.analysis import extract_constraints
 from repro.sql.dates import parse_date_to_days
 from repro.sql.expressions import FunctionRegistry
@@ -170,7 +171,10 @@ class ReadSession:
     principal: Principal
     output_schema: Schema
     columns: list[str]
+    # The caller's text is the wire form (handle, resolution-cache key);
+    # ``restriction`` is its one parse, made at create, never mutated.
     row_restriction: str | None
+    restriction: ast.Expr | None
     constraints: ConstraintSet
     streams: list[ReadStream]
     engine_location: str | None
@@ -305,18 +309,19 @@ class ReadApi:
 
         table_schema = self._effective_schema(table)
         access = table.policies.resolve(principal)
+        # The session's one parse of the restriction text: the constraint
+        # set, this compile and every later ReadRows share the AST.
+        restriction = parse_expression(row_restriction) if row_restriction else None
         # Compile enforcement now so denied columns fail before any IO.
         Superluminal(
             table_schema, access, columns=columns,
-            row_restriction=row_restriction, functions=self.functions,
+            row_restriction=restriction, functions=self.functions,
         )
         self.ctx.metrics.counter(
             "readapi_sessions_total", "read sessions created by table kind"
         ).inc(kind=table.kind.name.lower())
 
-        constraints = ConstraintSet()
-        if row_restriction:
-            constraints = extract_constraints(parse_expression(row_restriction))
+        constraints = extract_constraints(restriction)
 
         stats = SessionStats()
         streams: list[ReadStream]
@@ -373,6 +378,7 @@ class ReadApi:
             output_schema=table_schema.select(projected),
             columns=projected,
             row_restriction=row_restriction,
+            restriction=restriction,
             constraints=constraints,
             streams=streams,
             engine_location=engine_location,
@@ -800,7 +806,7 @@ class ReadApi:
         access = session.table.policies.resolve(session.principal)
         enforcement = Superluminal(
             table_schema, access, columns=session.columns,
-            row_restriction=session.row_restriction, functions=self.functions,
+            row_restriction=session.restriction, functions=self.functions,
             tracer=self.ctx.tracer,
         )
         return self._read_rows_impl(session, stream_index, enforcement, max_units)
@@ -963,7 +969,7 @@ class ReadApi:
             access = session.table.policies.resolve(session.principal)
             enforcement = Superluminal(
                 self._effective_schema(session.table), access,
-                columns=wide_columns, row_restriction=session.row_restriction,
+                columns=wide_columns, row_restriction=session.restriction,
                 functions=self.functions, tracer=self.ctx.tracer,
             )
             store = self.stores.store_for(session.table.storage.location)
@@ -1060,25 +1066,6 @@ class ReadApi:
     # request (standard reader coalescing).
     _COALESCE_GAP_BYTES = 64 * 1024
 
-    def _needed_columns(self, session) -> set[str]:
-        """Lower-cased column names a scan must materialize: the projection
-        plus every column referenced by user or security row filters."""
-        from repro.sql.expressions import collect_column_refs
-
-        needed = {c.lower() for c in session.columns if c.lower() != "data"}
-        if session.row_restriction:
-            needed |= {
-                r.rsplit(".", 1)[-1].lower()
-                for r in collect_column_refs(parse_expression(session.row_restriction))
-            }
-        access = session.table.policies.resolve(session.principal)
-        for filter_sql in access.row_filters:
-            needed |= {
-                r.rsplit(".", 1)[-1].lower()
-                for r in collect_column_refs(parse_expression(filter_sql))
-            }
-        return needed
-
     def _fetch_ranges(
         self, session, store, bucket: str, key: str, chunks
     ) -> dict[str, bytes]:
@@ -1128,9 +1115,8 @@ class ReadApi:
         if not keep:
             return
 
-        needed = self._needed_columns(session)
         schema = footer.schema
-        fetch_columns = [f.name for f in schema if f.name.lower() in needed]
+        fetch_columns = [f.name for f in schema if f.name.lower() in enforcement.needed_columns]
         if not fetch_columns:
             fetch_columns = [schema.fields[0].name]
 
@@ -1245,8 +1231,7 @@ class ReadApi:
             return
 
         # Warm footer: chunk-granular serving for the needed columns.
-        needed = self._needed_columns(session)
-        fetch_columns = [f.name for f in schema if f.name.lower() in needed]
+        fetch_columns = [f.name for f in schema if f.name.lower() in enforcement.needed_columns]
         if not fetch_columns:
             fetch_columns = [schema.fields[0].name]
         for rg_index in keep:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from repro.sql.expressions import (
     Binder,
     BoundExpr,
     FunctionRegistry,
-    evaluate,
+    collect_column_refs,
     evaluate_predicate,
 )
 from repro.sql.parser import parse_expression
@@ -53,6 +54,9 @@ class Superluminal:
 
     Requesting a denied column fails at compile time — before any data
     moves — so a malicious engine cannot even construct the scan.
+
+    ``row_restriction`` arrives parsed (the Read API parses its text once
+    per session); it is bound here and never mutated.
     """
 
     def __init__(
@@ -60,7 +64,7 @@ class Superluminal:
         table_schema: Schema,
         access: EffectiveAccess,
         columns: list[str] | None = None,
-        row_restriction: str | None = None,
+        row_restriction: ast.Expr | None = None,
         functions: FunctionRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -84,27 +88,37 @@ class Superluminal:
         self.output_schema = table_schema.select(projected)
 
         binder = Binder(table_schema, functions)
-        self._security_filter = self._compile_security_filter(binder)
+        security = self._security_expr()
+        self._filter_exprs = [e for e in (security, row_restriction) if e is not None]
+        if security is not None:
+            self._security_filter = binder.bind(security)
+        else:
+            self._security_filter = _DENY_ALL if access.row_policies_exist else None
         self._user_filter: BoundExpr | None = None
-        if row_restriction:
-            self._user_filter = binder.bind(parse_expression(row_restriction))
+        if row_restriction is not None:
+            self._user_filter = binder.bind(row_restriction)
         self._masks = {
             name.lower(): kind
             for name, kind in access.masked_columns.items()
             if any(f.name.lower() == name.lower() for f in table_schema)
         }
 
-    def _compile_security_filter(self, binder: Binder) -> BoundExpr | None:
+    @cached_property
+    def needed_columns(self) -> set[str]:
+        """Lower-cased, unqualified names a scan must materialize: the
+        projection plus every column the user and security filters read."""
+        needed = {c.lower() for c in self.columns}
+        for expr in self._filter_exprs:
+            needed |= {r.rsplit(".", 1)[-1].lower() for r in collect_column_refs(expr)}
+        return needed
+
+    def _security_expr(self) -> ast.Expr | None:
         """OR together the row policies that apply to the principal."""
-        if not self.access.row_policies_exist:
-            return None
-        if not self.access.row_filters:
-            return _DENY_ALL
         combined: ast.Expr | None = None
         for filter_sql in self.access.row_filters:
             clause = parse_expression(filter_sql)
             combined = clause if combined is None else ast.BinaryOp("OR", combined, clause)
-        return binder.bind(combined)
+        return combined
 
     def process(self, batch: RecordBatch) -> RecordBatch:
         """Apply the full enforcement pipeline to one batch."""
@@ -143,12 +157,6 @@ class Superluminal:
                 Field(field.name, masked.dtype, nullable=True), masked
             )
         return batch
-
-    def evaluate_projection(self, expr_sql: str, batch: RecordBatch) -> Column:
-        """Evaluate one extra scalar expression (used by pushed-down
-        partial aggregates and tests)."""
-        bound = Binder(batch.schema).bind(parse_expression(expr_sql))
-        return evaluate(bound, batch)
 
 
 class _DenyAll:
