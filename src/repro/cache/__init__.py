@@ -338,22 +338,23 @@ class DataCache:
             return
         self.chunks.put((bucket, key, generation, rg_index, column), value, size_bytes)
 
-    def warm_chunk_bytes(self, bucket: str, key: str, generation: int) -> int:
-        """Source bytes of one object currently resident in the chunk tier.
+    def warm_chunk_bytes_by_object(self) -> dict[tuple[str, str, int], int]:
+        """Source bytes resident in the chunk tier, per object
+        ``(bucket, key, generation)``, grouped in one pass.
 
-        The scheduler's cost estimator calls this at planning time to
-        discount warm files; it must not perturb what it measures, so the
-        probe is non-mutating (no LRU touch, no hit/miss accounting) and
-        consults no fault hazard — a mis-estimate only skews the schedule,
-        never the data.
+        The scheduler's cost estimator calls this once per session at
+        planning time to discount warm files, then looks each file up; it
+        must not perturb what it measures, so the probe is non-mutating
+        (no LRU touch, no hit/miss accounting) and consults no fault
+        hazard — a mis-estimate only skews the schedule, never the data.
         """
-        if not self.enabled or generation <= 0:
-            return 0
-        prefix = (bucket, key, generation)
-        return sum(
-            size for entry_key, size in self.chunks.resident_items()
-            if entry_key[:3] == prefix
-        )
+        warm: dict[tuple[str, str, int], int] = {}
+        if not self.enabled:
+            return warm
+        for entry_key, size in self.chunks.resident_items():
+            obj = entry_key[:3]
+            warm[obj] = warm.get(obj, 0) + size
+        return warm
 
     # -- dictionary tier ----------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -844,8 +845,13 @@ def _apply_dynamic_partition_pruning(
         scan = _find_scan_for_column(probe_node, column)
         if scan is None:
             continue
-        values = {v for v in build_col.to_pylist() if v is not None}
+        # NULL and NaN never equi-join. ±inf has no SQL literal to ship
+        # in the restriction text, and pruning is only an optimization,
+        # so a key set holding one is not pushed at all.
+        values = {v for v in build_col.to_pylist() if v is not None and v == v}
         if not values or len(values) > _DPP_MAX_KEYS:
+            continue
+        if any(isinstance(v, float) and math.isinf(v) for v in values):
             continue
         scan.runtime_constraints.add(column, ColumnConstraint(in_set=frozenset(values)))
         ctx.stats.dpp_applied += 1

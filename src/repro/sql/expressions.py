@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -25,6 +26,8 @@ from repro.sql import ast_nodes as ast
 from repro.sql.dates import parse_date_to_days, parse_timestamp_to_micros
 
 AGGREGATE_FUNCTIONS = {"COUNT", "SUM", "MIN", "MAX", "AVG"}
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 # --------------------------------------------------------------------------
@@ -75,10 +78,65 @@ class BoundIsNull(BoundExpr):
 
 @dataclass(frozen=True)
 class BoundInList(BoundExpr):
+    """``operand [NOT] IN (values)``, evaluated with one membership test.
+
+    :meth:`members` gives, per row, whether ``row == v`` holds for some
+    ``v`` under numpy's comparison rules, in one vectorized pass:
+    ``np.isin`` for numeric and BOOL columns, set membership for object
+    (STRING/BYTES) columns. NULL and NaN values never match; NULL rows
+    are left to the caller's validity. The per-type value arrays are
+    built on first use and kept with the node.
+    """
+
     operand: BoundExpr
     values: tuple
     negated: bool
     dtype: DataType = DataType.BOOL
+
+    @cached_property
+    def _ints(self) -> np.ndarray:
+        """Int values an int64 can hold (BOOL as 0/1, as numpy compares
+        it); an integer column equals no other int."""
+        return np.array(
+            [int(v) for v in self.values
+             if isinstance(v, (int, np.integer)) and _INT64_MIN <= v <= _INT64_MAX],
+            dtype=np.int64,
+        )
+
+    @cached_property
+    def _floats(self) -> np.ndarray:
+        return np.array(
+            [v for v in self.values if isinstance(v, (float, np.floating)) and v == v],
+            dtype=np.float64,
+        )
+
+    @cached_property
+    def _as_floats(self) -> np.ndarray:
+        """Every numeric value as the float64 a float column compares
+        against (ints included: ``column == 3`` compares with 3.0)."""
+        return np.array(
+            [v for v in self.values if isinstance(v, (int, float, np.number)) and v == v],
+            dtype=np.float64,
+        )
+
+    @cached_property
+    def _member_set(self) -> frozenset:
+        return frozenset(v for v in self.values if v is not None and v == v)
+
+    def members(self, values: np.ndarray) -> np.ndarray:
+        """Per row of ``values``: equal to one of the list's values."""
+        kind = values.dtype.kind
+        if kind == "f":
+            return np.isin(values, self._as_floats)
+        if kind in "biu":
+            # Ints compare exactly; a float compares with the column
+            # converted to float64, as ``column == 2.5`` does.
+            hits = np.isin(values, self._ints)
+            if len(self._floats):
+                hits |= np.isin(values.astype(np.float64), self._floats)
+            return hits
+        member_set = self._member_set
+        return np.fromiter((v in member_set for v in values), dtype=bool, count=len(values))
 
 
 @dataclass(frozen=True)
@@ -340,6 +398,10 @@ _NUMERIC_RESULT = {
 }
 
 
+# Untyped literal values that bind to themselves (see _bind_literal).
+_PLAIN_LITERAL_TYPES = frozenset({type(None), bool, int, float, str, bytes})
+
+
 class Binder:
     """Resolves names against a schema and type-checks expressions."""
 
@@ -360,13 +422,7 @@ class Binder:
             return BoundIsNull(self.bind(expr.operand), expr.negated)
         if isinstance(expr, ast.InList):
             operand = self.bind(expr.operand)
-            values = []
-            for item in expr.items:
-                bound = self.bind(item)
-                if not isinstance(bound, BoundLiteral):
-                    raise AnalysisError("IN list items must be literals")
-                values.append(bound.value)
-            return BoundInList(operand, tuple(values), expr.negated)
+            return BoundInList(operand, self._in_list_values(expr.items), expr.negated)
         if isinstance(expr, ast.Between):
             operand = self.bind(expr.operand)
             low = self.bind(expr.low)
@@ -446,6 +502,25 @@ class Binder:
         if isinstance(v, bytes):
             return BoundLiteral(v, DataType.BYTES)
         raise AnalysisError(f"unsupported literal {v!r}")
+
+    def _in_list_values(self, items: tuple[ast.Expr, ...]) -> tuple:
+        """The values of an all-literal IN list, bound in one pass.
+
+        An untyped literal's value is its bound value, so it is taken as
+        is; only typed (DATE/TIMESTAMP) literals go through
+        :meth:`_bind_literal`. A non-literal item is still bound first, so
+        an unknown name reports as such, before the literal check fails.
+        """
+        values = []
+        for item in items:
+            if not isinstance(item, ast.Literal):
+                self.bind(item)
+                raise AnalysisError("IN list items must be literals")
+            value = item.value
+            if item.type_hint is not None or type(value) not in _PLAIN_LITERAL_TYPES:
+                value = self._bind_literal(item).value
+            values.append(value)
+        return tuple(values)
 
     def _coerce_pair(self, left: BoundExpr, right: BoundExpr) -> tuple[BoundExpr, BoundExpr]:
         """Insert implicit casts so both sides share a comparable type."""
@@ -549,12 +624,10 @@ def evaluate(expr: BoundExpr, batch: RecordBatch) -> Column:
         return Column(DataType.BOOL, result)
     if isinstance(expr, BoundInList):
         operand = evaluate(expr.operand, batch)
-        hits = np.zeros(n, dtype=bool)
-        for v in expr.values:
-            hits |= operand.values == v
-        hits &= operand.is_valid()
+        valid = operand.is_valid()
+        hits = expr.members(operand.values) & valid
         if expr.negated:
-            hits = ~hits & operand.is_valid()
+            hits = ~hits & valid
         return Column(DataType.BOOL, hits, operand.validity)
     if isinstance(expr, BoundLike):
         operand = evaluate(expr.operand, batch)
@@ -757,7 +830,8 @@ def collect_column_refs(expr: ast.Expr) -> set[str]:
         elif isinstance(e, ast.InList):
             walk(e.operand)
             for item in e.items:
-                walk(item)
+                if not isinstance(item, ast.Literal):  # pushed key lists are long
+                    walk(item)
         elif isinstance(e, ast.Between):
             walk(e.operand)
             walk(e.low)

@@ -23,6 +23,16 @@ _NO_ALIAS_KEYWORDS = {
 }
 
 
+# Keyword literals and their values.
+_KEYWORD_LITERALS = {"TRUE": True, "FALSE": False, "NULL": None}
+
+
+def _number_value(text: str) -> int | float:
+    if "." in text or "e" in text or "E" in text:
+        return float(text)
+    return int(text)
+
+
 class _Parser:
     def __init__(self, sql: str) -> None:
         self.tokens = tokenize(sql)
@@ -458,9 +468,7 @@ class _Parser:
                 query = self.parse_select()
                 self.expect_symbol(")")
                 return ast.InSubquery(left, query, negated=negated)
-            items = [self.parse_expr()]
-            while self.accept_symbol(","):
-                items.append(self.parse_expr())
+            items = self._parse_in_items()
             self.expect_symbol(")")
             return ast.InList(left, tuple(items), negated=negated)
         if tok.is_keyword("BETWEEN"):
@@ -476,6 +484,53 @@ class _Parser:
                 raise SqlSyntaxError("LIKE expects a string pattern literal")
             return ast.Like(left, pattern.text, negated=negated)
         return left
+
+    def _parse_in_items(self) -> list[ast.Expr]:
+        """The items of an ``IN (...)`` list, each a flat literal when it
+        can be one (see :meth:`_flat_in_literal`), else ``parse_expr``."""
+        items: list[ast.Expr] = []
+        tokens = self.tokens
+        while True:
+            items.append(self._flat_in_literal() or self.parse_expr())
+            tok = tokens[self.pos]  # accept_symbol(","), inlined: one per item
+            if tok.kind is not TokenKind.SYMBOL or tok.text != ",":
+                return items
+            self.pos += 1
+
+    def _flat_in_literal(self) -> ast.Literal | None:
+        """Read an IN-list item that is a bare literal (or ``-`` and a
+        number) followed by ``,`` or ``)`` in one step; None otherwise.
+
+        Pushed dynamic-pruning key lists are thousands of such items, and
+        walking the precedence ladder once per literal dominated their
+        parse. The node is the one ``parse_expr`` builds: negatives fold
+        into the literal, and the lexer has already undone ``''`` escapes.
+        """
+        tokens = self.tokens
+        pos = self.pos
+        tok = tokens[pos]
+        negate = tok.kind is TokenKind.SYMBOL and tok.text == "-"
+        if negate:
+            pos += 1
+            tok = tokens[pos]
+        if tok.kind is TokenKind.EOF:
+            return None
+        nxt = tokens[pos + 1]
+        if nxt.kind is not TokenKind.SYMBOL or nxt.text not in (",", ")"):
+            return None
+        if tok.kind is TokenKind.NUMBER:
+            value = _number_value(tok.text)
+            literal = ast.Literal(-value if negate else value)
+        elif negate:
+            return None
+        elif tok.kind is TokenKind.STRING:
+            literal = ast.Literal(tok.text)
+        elif tok.kind is TokenKind.KEYWORD and tok.text in _KEYWORD_LITERALS:
+            literal = ast.Literal(_KEYWORD_LITERALS[tok.text])
+        else:
+            return None
+        self.pos = pos + 1
+        return literal
 
     def _parse_additive(self) -> ast.Expr:
         left = self._parse_multiplicative()
@@ -515,22 +570,13 @@ class _Parser:
         tok = self.peek()
         if tok.kind is TokenKind.NUMBER:
             self.advance()
-            text = tok.text
-            if "." in text or "e" in text or "E" in text:
-                return ast.Literal(float(text))
-            return ast.Literal(int(text))
+            return ast.Literal(_number_value(tok.text))
         if tok.kind is TokenKind.STRING:
             self.advance()
             return ast.Literal(tok.text)
-        if tok.is_keyword("TRUE"):
+        if tok.kind is TokenKind.KEYWORD and tok.text in _KEYWORD_LITERALS:
             self.advance()
-            return ast.Literal(True)
-        if tok.is_keyword("FALSE"):
-            self.advance()
-            return ast.Literal(False)
-        if tok.is_keyword("NULL"):
-            self.advance()
-            return ast.Literal(None)
+            return ast.Literal(_KEYWORD_LITERALS[tok.text])
         if tok.is_keyword("TIMESTAMP", "DATE") and self.peek(1).kind is TokenKind.STRING:
             kind = self.advance().text
             literal = self.advance().text

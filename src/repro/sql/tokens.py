@@ -25,6 +25,11 @@ SYMBOLS = [
 ]
 
 
+# Longest match first: a two-char symbol wins over its first char.
+_TWO_CHAR_SYMBOLS = frozenset(sym for sym in SYMBOLS if len(sym) == 2)
+_ONE_CHAR_SYMBOLS = frozenset(sym for sym in SYMBOLS if len(sym) == 1)
+
+
 class TokenKind(enum.Enum):
     KEYWORD = "keyword"
     IDENT = "ident"
@@ -65,18 +70,16 @@ def tokenize(sql: str) -> list[Token]:
             j = i + 1
             chunks: list[str] = []
             while True:
-                if j >= n:
+                end = sql.find("'", j)
+                if end < 0:
                     raise SqlSyntaxError(f"unterminated string literal at {i}")
-                if sql[j] == "'":
-                    if j + 1 < n and sql[j + 1] == "'":
-                        chunks.append("'")
-                        j += 2
-                        continue
+                chunks.append(sql[j:end])
+                if not sql.startswith("''", end):
                     break
-                chunks.append(sql[j])
-                j += 1
+                chunks.append("'")
+                j = end + 2
             tokens.append(Token(TokenKind.STRING, "".join(chunks), i))
-            i = j + 1
+            i = end + 1
             continue
         if ch == "`":  # quoted identifier
             j = sql.find("`", i + 1)
@@ -118,14 +121,12 @@ def tokenize(sql: str) -> list[Token]:
                 tokens.append(Token(TokenKind.IDENT, word, i))
             i = j
             continue
-        matched = False
-        for sym in SYMBOLS:
-            if sql.startswith(sym, i):
-                tokens.append(Token(TokenKind.SYMBOL, sym, i))
-                i += len(sym)
-                matched = True
-                break
-        if not matched:
-            raise SqlSyntaxError(f"unexpected character {ch!r} at position {i}")
+        sym = sql[i : i + 2]
+        if sym not in _TWO_CHAR_SYMBOLS:
+            sym = ch
+            if sym not in _ONE_CHAR_SYMBOLS:
+                raise SqlSyntaxError(f"unexpected character {ch!r} at position {i}")
+        tokens.append(Token(TokenKind.SYMBOL, sym, i))
+        i += len(sym)
     tokens.append(Token(TokenKind.EOF, "", n))
     return tokens

@@ -39,14 +39,17 @@ from repro.security.audit import AuditLog
 from repro.security.connections import ConnectionManager
 from repro.security.iam import IamService, Permission, Principal
 from repro.simtime import MIB, SimContext
-from repro.sql import ast_nodes as ast
 from repro.sql.analysis import extract_constraints
 from repro.sql.dates import parse_date_to_days
 from repro.sql.expressions import FunctionRegistry
 from repro.sql.parser import parse_expression
 from repro.storageapi.fileutil import entry_from_footer, read_remote_footer
 from repro.storageapi.managed import ManagedStorage
-from repro.storageapi.superluminal import Superluminal
+from repro.storageapi.superluminal import (
+    CompiledRestriction,
+    Superluminal,
+    compile_restriction,
+)
 from repro.tableformats.hive_layout import parse_partition_from_key
 
 _session_ids = itertools.count(1)
@@ -172,9 +175,9 @@ class ReadSession:
     output_schema: Schema
     columns: list[str]
     # The caller's text is the wire form (handle, resolution-cache key);
-    # ``restriction`` is its one parse, made at create, never mutated.
+    # ``restriction`` is its one parse and bind, made at create.
     row_restriction: str | None
-    restriction: ast.Expr | None
+    restriction: CompiledRestriction | None
     constraints: ConstraintSet
     streams: list[ReadStream]
     engine_location: str | None
@@ -309,19 +312,22 @@ class ReadApi:
 
         table_schema = self._effective_schema(table)
         access = table.policies.resolve(principal)
-        # The session's one parse of the restriction text: the constraint
-        # set, this compile and every later ReadRows share the AST.
-        restriction = parse_expression(row_restriction) if row_restriction else None
-        # Compile enforcement now so denied columns fail before any IO.
-        Superluminal(
-            table_schema, access, columns=columns,
-            row_restriction=restriction, functions=self.functions,
+        # The session's one parse of the restriction text; the AST feeds
+        # the constraint set below.
+        parsed = parse_expression(row_restriction) if row_restriction else None
+        # Compile enforcement now so denied columns fail before any IO,
+        # then bind the restriction: the one bind every later ReadRows
+        # reuses.
+        Superluminal(table_schema, access, columns=columns, functions=self.functions)
+        restriction = (
+            compile_restriction(table_schema, parsed, self.functions)
+            if parsed is not None else None
         )
         self.ctx.metrics.counter(
             "readapi_sessions_total", "read sessions created by table kind"
         ).inc(kind=table.kind.name.lower())
 
-        constraints = extract_constraints(restriction)
+        constraints = extract_constraints(parsed)
 
         stats = SessionStats()
         streams: list[ReadStream]
@@ -494,17 +500,18 @@ class ReadApi:
 
         One task per file after pruning, in stream order: GET latency +
         per-MiB transfer + per-MiB decode, with resident cache bytes
-        (probed non-mutatingly via
-        :meth:`~repro.cache.DataCache.warm_chunk_bytes`) discounted to the
-        cheap hit cost. Purely advisory — the scheduler rescales the
-        estimates to the *measured* stage scan time, so only their relative
-        shape matters. Returns None for managed/object tables, whose tasks
+        (probed non-mutatingly, once per session, via
+        :meth:`~repro.cache.DataCache.warm_chunk_bytes_by_object`)
+        discounted to the cheap hit cost. Purely advisory — the scheduler
+        rescales the estimates to the *measured* stage scan time, so only
+        their relative shape matters. Returns None for managed/object tables, whose tasks
         are not file-shaped (the scheduler falls back to a uniform split).
         """
         if session.table.kind in (TableKind.MANAGED, TableKind.OBJECT):
             return None
         costs = self.ctx.costs
         cache = self.data_cache
+        warm_by_object = cache.warm_chunk_bytes_by_object() if cache is not None else {}
         out: list[float] = []
         for stream in session.streams:
             for entry in stream.files:
@@ -515,9 +522,9 @@ class ReadApi:
                 )
                 warm_bytes = 0
                 generation = getattr(entry, "generation", 0)
-                if cache is not None and cache.enabled and generation > 0 and size > 0:
+                if warm_by_object and generation > 0 and size > 0:
                     bucket, _, key = entry.file_path.partition("/")
-                    warm_bytes = min(size, cache.warm_chunk_bytes(bucket, key, generation))
+                    warm_bytes = min(size, warm_by_object.get((bucket, key, generation), 0))
                 warm_fraction = warm_bytes / size if size else 0.0
                 warm = (
                     costs.cache_lookup_ms

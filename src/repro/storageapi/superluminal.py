@@ -32,6 +32,36 @@ from repro.sql.expressions import (
 from repro.sql.parser import parse_expression
 
 
+@dataclass(frozen=True)
+class CompiledRestriction:
+    """A caller's row restriction, compiled once per read session.
+
+    The restriction crosses the trust boundary as text (the Read API's
+    wire form); ``create_read_session`` parses it and binds it against the
+    table schema, once. Every :class:`Superluminal` the session later
+    builds reuses the bound ``predicate`` and the ``columns`` it reads.
+    The AST is not kept: a pushed key list holds one node per key.
+    """
+
+    predicate: BoundExpr
+    # Lower-cased, unqualified names of the columns the restriction reads.
+    columns: frozenset[str]
+
+
+def compile_restriction(
+    table_schema: Schema, expr: ast.Expr, functions: FunctionRegistry | None = None
+) -> CompiledRestriction:
+    """Bind a parsed row restriction against ``table_schema``."""
+    return CompiledRestriction(
+        predicate=Binder(table_schema, functions).bind(expr),
+        columns=frozenset(_unqualified(collect_column_refs(expr))),
+    )
+
+
+def _unqualified(refs: set[str]) -> set[str]:
+    return {ref.rsplit(".", 1)[-1].lower() for ref in refs}
+
+
 @dataclass
 class ScanFilterStats:
     """Counters for one Superluminal pass."""
@@ -55,8 +85,10 @@ class Superluminal:
     Requesting a denied column fails at compile time — before any data
     moves — so a malicious engine cannot even construct the scan.
 
-    ``row_restriction`` arrives parsed (the Read API parses its text once
-    per session); it is bound here and never mutated.
+    ``row_restriction`` arrives compiled (the Read API parses and binds
+    its text once per session) and is reused as is. Access is not: the
+    ``access`` each instance gets is resolved by its caller per
+    ``read_rows``, so its row policies are parsed and bound here.
     """
 
     def __init__(
@@ -64,7 +96,7 @@ class Superluminal:
         table_schema: Schema,
         access: EffectiveAccess,
         columns: list[str] | None = None,
-        row_restriction: ast.Expr | None = None,
+        row_restriction: CompiledRestriction | None = None,
         functions: FunctionRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -87,16 +119,12 @@ class Superluminal:
         self.columns = projected
         self.output_schema = table_schema.select(projected)
 
-        binder = Binder(table_schema, functions)
-        security = self._security_expr()
-        self._filter_exprs = [e for e in (security, row_restriction) if e is not None]
-        if security is not None:
-            self._security_filter = binder.bind(security)
+        self._security = self._security_expr()
+        if self._security is not None:
+            self._security_filter = Binder(table_schema, functions).bind(self._security)
         else:
             self._security_filter = _DENY_ALL if access.row_policies_exist else None
-        self._user_filter: BoundExpr | None = None
-        if row_restriction is not None:
-            self._user_filter = binder.bind(row_restriction)
+        self._restriction = row_restriction
         self._masks = {
             name.lower(): kind
             for name, kind in access.masked_columns.items()
@@ -108,8 +136,10 @@ class Superluminal:
         """Lower-cased, unqualified names a scan must materialize: the
         projection plus every column the user and security filters read."""
         needed = {c.lower() for c in self.columns}
-        for expr in self._filter_exprs:
-            needed |= {r.rsplit(".", 1)[-1].lower() for r in collect_column_refs(expr)}
+        if self._security is not None:
+            needed |= _unqualified(collect_column_refs(self._security))
+        if self._restriction is not None:
+            needed |= self._restriction.columns
         return needed
 
     def _security_expr(self) -> ast.Expr | None:
@@ -133,8 +163,8 @@ class Superluminal:
             if self._security_filter is not None:
                 mask = evaluate_predicate(self._security_filter, batch)
                 batch = batch.filter(mask)
-            if self._user_filter is not None and batch.num_rows:
-                mask = evaluate_predicate(self._user_filter, batch)
+            if self._restriction is not None and batch.num_rows:
+                mask = evaluate_predicate(self._restriction.predicate, batch)
                 batch = batch.filter(mask)
             out = batch.select(self.columns)
             if self._masks and out.num_rows:

@@ -3,8 +3,9 @@
 Covers the LRU/admission mechanics of one :class:`CacheTier`, the
 generation/enabled gating of :class:`DataCache`, fault-injected bypasses
 (slower, never wrong), the warm-scan integration through the engine, the
-``CACHE_STATS`` / ``JOBS`` observability surface, and the ceil-based wave
-model in ``QueryStats.finalize``.
+``CACHE_STATS`` / ``JOBS`` observability surface, the planner's
+warm-chunk probe, and the ceil-based wave model as settled through the
+slot pool (``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -201,6 +202,79 @@ class TestWarmScanIntegration:
         # ([2022], [2023]) — content-addressing stores each once.
         assert len(platform.data_cache.dictionaries) == 3
         assert platform.data_cache.dictionaries.stats.hits >= 3
+
+
+class TestWarmChunkProbe:
+    """``estimate_task_costs`` looks files up in one grouping of the
+    resident chunk bytes; the per-file estimates must equal those of a
+    per-file probe, with the cache warm and then partly evicted."""
+
+    @staticmethod
+    def _partly_evicted():
+        def build(capacity):
+            config = CacheConfig(chunk_capacity_bytes=capacity, admission_fraction=1.0)
+            platform = LakehousePlatform(PlatformConfig(data_cache=config))
+            admin = platform.admin_user()
+            table, _ = setup_sales_lake(platform, admin, files=6, rows_per_file=40)
+            platform.home_engine.execute(SALES_SQL, admin)
+            return platform, admin, table
+
+        platform, _, _ = build(CacheConfig().chunk_capacity_bytes)
+        working_set = platform.data_cache.chunks.resident_bytes
+        platform, admin, table = build(int(working_set * 0.6))
+        assert platform.data_cache.chunks.stats.evictions > 0
+        return platform, platform.read_api.create_read_session(admin, table)
+
+    @staticmethod
+    def _objects(session) -> dict:
+        """``(bucket, key, generation) -> size`` of every file scanned."""
+        return {
+            (*entry.file_path.split("/", 1), entry.generation): entry.size_bytes
+            for stream in session.streams for entry in stream.files
+        }
+
+    @staticmethod
+    def _per_file_probe(cache, sizes) -> dict:
+        """The old probe: one scan of the resident chunks per file."""
+        return {
+            obj: sum(size for key, size in cache.chunks.resident_items() if key[:3] == obj)
+            for obj in sizes
+        }
+
+    def test_estimates_equal_per_file_probe(self, monkeypatch):
+        platform, session = self._partly_evicted()
+        cache = platform.data_cache
+        sizes = self._objects(session)
+        per_file = self._per_file_probe(cache, sizes)
+        # Cold, partly warm and warm files are all present.
+        assert 0 in per_file.values()
+        assert any(0 < per_file[obj] < sizes[obj] for obj in sizes)
+        grouped = cache.warm_chunk_bytes_by_object()
+        assert {obj: grouped.get(obj, 0) for obj in sizes} == per_file
+
+        estimates = platform.read_api.estimate_task_costs(session)
+        monkeypatch.setattr(cache, "warm_chunk_bytes_by_object", lambda: per_file)
+        assert platform.read_api.estimate_task_costs(session) == estimates
+
+    def test_probe_follows_admissions_and_evictions(self):
+        platform, session = self._partly_evicted()
+        cache = platform.data_cache
+        sizes = self._objects(session)
+        before = dict(cache.warm_chunk_bytes_by_object())
+        # Another column's chunks come in, pushing older ones out.
+        platform.home_engine.execute(
+            "SELECT year, COUNT(*) AS n FROM ds.sales GROUP BY year", platform.admin_user()
+        )
+        grouped = cache.warm_chunk_bytes_by_object()
+        assert grouped != before
+        assert {obj: grouped.get(obj, 0) for obj in sizes} == self._per_file_probe(cache, sizes)
+
+    def test_probe_does_not_perturb_the_cache(self):
+        platform, session = self._partly_evicted()
+        chunks = platform.data_cache.chunks
+        before = (chunks.resident_items(), repr(chunks.stats), chunks.resident_bytes)
+        platform.read_api.estimate_task_costs(session)
+        assert (chunks.resident_items(), repr(chunks.stats), chunks.resident_bytes) == before
 
 
 class TestCacheObservability:

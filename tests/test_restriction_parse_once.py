@@ -1,14 +1,16 @@
-"""A read session parses its row restriction once.
+"""A read session parses and binds its row restriction once.
 
 The restriction arrives as SQL text (the Read API's wire form) and is
-parsed at ``create_read_session``; every stream, file and ``read_rows``
-call after that reuses the session's AST. The counting fixture rebinds
-every ``repro`` module's copy of ``parse_expression`` (modules import it
-by name), so a parse at any call site is seen.
+parsed and bound at ``create_read_session``; every stream, file and
+``read_rows`` call after that reuses the session's compile. The parse
+counting fixture rebinds every ``repro`` module's copy of
+``parse_expression`` (modules import it by name), so a parse at any call
+site is seen; the bind counting fixture wraps ``Binder.bind`` itself.
 
-Parsing once must not cache *access*: each ``read_rows`` still resolves
-the table's row policies at call time, and the ranged and warm-footer
-scans still fetch every column a policy or the restriction reads.
+Compiling once must not cache *access*: each ``read_rows`` still resolves
+the table's row policies at call time and binds them then, and the
+ranged and warm-footer scans still fetch every column a policy or the
+restriction reads.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from repro.data import batch_from_pydict
 from repro.external.sparksim import DirectLakeReader
 from repro.security import RowAccessPolicy
 from repro.sql import parser
+from repro.sql.expressions import Binder
+from repro.sql.parser import parse_expression
 from repro.workloads.objects_corpus import build_image_corpus
 
 from tests.helpers import SALES_SCHEMA, setup_sales_lake
@@ -49,6 +53,28 @@ def parse_calls(monkeypatch):
             if value is original:
                 monkeypatch.setattr(module, name, counting)
     return calls
+
+
+@pytest.fixture
+def bind_count(monkeypatch):
+    """``bind_count(text)``: how many times an expression equal to the
+    parse of ``text`` was bound, counting top-level binds only (a bound
+    subtree never equals the whole)."""
+    bound = []
+    original = Binder.bind
+
+    def counting(self, expr):
+        bound.append(expr)
+        return original(self, expr)
+
+    monkeypatch.setattr(Binder, "bind", counting)
+
+    def count(text: str) -> int:
+        target = parse_expression(text)
+        return sum(1 for expr in bound if expr == target)
+
+    count.clear = bound.clear
+    return count
 
 
 def _platform(cache: bool):
@@ -120,27 +146,31 @@ READ_API_PATHS = {
 
 class TestOneParsePerSession:
     @pytest.mark.parametrize("path", sorted(READ_API_PATHS))
-    def test_read_api_path_parses_once(self, path, parse_calls):
+    def test_read_api_path_parses_once(self, path, parse_calls, bind_count):
         build, cache, restriction, kwargs = READ_API_PATHS[path]
         platform, admin, table = build(cache)
         parse_calls.clear()
+        bind_count.clear()
         session, rows = _drain(
             platform.read_api, admin, table, row_restriction=restriction, **kwargs
         )
         assert rows and (len(session.streams) > 1 or path == "object_data")
         assert parse_calls == [restriction]
+        assert bind_count(restriction) == 1
 
     @pytest.mark.parametrize("ranged", [False, True])
-    def test_warm_footer_scan_parses_once(self, ranged, parse_calls):
+    def test_warm_footer_scan_parses_once(self, ranged, parse_calls, bind_count):
         platform, admin, table = _sales(cache=True)
         _drain(platform.read_api, admin, table)  # cold: admits footers + chunks
         parse_calls.clear()
+        bind_count.clear()
         session, rows = _drain(
             platform.read_api, admin, table, row_restriction=RESTRICTION,
             columns=["order_id"], ranged_reads=ranged,
         )
         assert rows and session.stats.cache_hit_bytes > 0
         assert parse_calls == [RESTRICTION]
+        assert bind_count(RESTRICTION) == 1
 
     @pytest.mark.parametrize("path", sorted(READ_API_PATHS))
     def test_no_restriction_parses_nothing(self, path, parse_calls):
@@ -151,12 +181,13 @@ class TestOneParsePerSession:
         assert rows and parse_calls == []
 
     @pytest.mark.parametrize("restriction", [RESTRICTION, None])
-    def test_sparksim_direct_parses_once(self, restriction, parse_calls):
+    def test_sparksim_direct_parses_once(self, restriction, parse_calls, bind_count):
         platform, _, table = _sales(cache=False)
         power = platform.create_user("power", [Role.DATA_VIEWER])
         platform.iam.grant("buckets/lake", Role.STORAGE_OBJECT_VIEWER, power)
         reader = DirectLakeReader(platform)
         parse_calls.clear()
+        bind_count.clear()
         session = reader.create_read_session(
             power, table, row_restriction=restriction, max_streams=3
         )
@@ -166,12 +197,15 @@ class TestOneParsePerSession:
         ]
         assert rows and len(session.streams) > 1
         assert parse_calls == ([restriction] if restriction else [])
+        assert bind_count(RESTRICTION) == (1 if restriction else 0)
 
 
 class TestAccessIsNotCached:
-    """Parsing once must leave access resolution per ``read_rows`` call."""
+    """Compiling once must leave access resolution per ``read_rows`` call."""
 
     SCAN_MODES = {
+        "vectorized": (False, {}),
+        "row_oriented": (False, {"use_row_oriented_reader": True}),
         "ranged": (False, {"ranged_reads": True}),
         "warm_footer": (True, {}),
     }
@@ -199,10 +233,14 @@ class TestAccessIsNotCached:
         return session, rows
 
     @pytest.mark.parametrize("mode", sorted(SCAN_MODES))
-    def test_late_policy_enforced_and_filter_columns_fetched(self, mode):
+    def test_late_policy_enforced_and_filter_columns_fetched(self, mode, bind_count):
         cache, kwargs = self.SCAN_MODES[mode]
-        session, rows = self._policy_after_create(cache, **kwargs)
         _, expected = self._policy_after_create(cache=False)
+        bind_count.clear()
+        session, rows = self._policy_after_create(cache, **kwargs)
+        # The restriction is bound once, the policy on every read_rows call.
+        assert bind_count("amount > 25") == 1
+        assert bind_count("region = 'eu'") == len(session.streams) > 1
         if cache:
             assert session.stats.cache_hit_bytes > 0
         # Rows 0..59 of each file: region cycles us/eu/apac, amount = j + 1.

@@ -33,6 +33,33 @@ class TestLexer:
         symbols = [t.text for t in tokens if t.kind is TokenKind.SYMBOL]
         assert symbols == ["<=", "!="]
 
+    @pytest.mark.parametrize("sql, symbols", [
+        ("<<=>>=", ["<", "<=", ">", ">="]),
+        ("a<>b||c!=d", ["<>", "||", "!="]),
+        ("(-1,-.5);", ["(", "-", ",", "-", ")", ";"]),
+        ("x=-y%2*3/4+5.", ["=", "-", "%", "*", "/", "+"]),
+    ])
+    def test_adjacent_symbols_take_the_longest_match(self, sql, symbols):
+        tokens = tokenize(sql)
+        assert [t.text for t in tokens if t.kind is TokenKind.SYMBOL] == symbols
+
+    @pytest.mark.parametrize("sql, texts, positions", [
+        ("''", [""], [0]),
+        ("''''", ["'"], [0]),
+        ("'a''''b' 'c'", ["a''b", "c"], [0, 9]),
+        ("'it''s', 'x'", ["it's", "x"], [0, 9]),
+        ("'--not a comment'", ["--not a comment"], [0]),
+    ])
+    def test_string_literals(self, sql, texts, positions):
+        strings = [t for t in tokenize(sql) if t.kind is TokenKind.STRING]
+        assert [t.text for t in strings] == texts
+        assert [t.pos for t in strings] == positions
+
+    @pytest.mark.parametrize("sql", ["'oops''", "'a''''", "x IN ('a', 'b)"])
+    def test_unterminated_string_after_escape_raises(self, sql):
+        with pytest.raises(SqlSyntaxError, match="unterminated string literal"):
+            tokenize(sql)
+
     def test_quoted_identifier(self):
         tokens = tokenize("`weird name`")
         assert tokens[0].kind is TokenKind.IDENT

@@ -14,7 +14,7 @@ from repro.security import (
     apply_mask_value,
 )
 from repro.sql.parser import parse_expression
-from repro.storageapi.superluminal import Superluminal, mask_column
+from repro.storageapi.superluminal import Superluminal, compile_restriction, mask_column
 from repro.data.column import Column
 
 ALICE = Principal.user("alice")
@@ -70,7 +70,7 @@ class TestRowFiltering:
     def test_user_restriction_composes_with_policy(self, batch, policies):
         sl = Superluminal(
             SCHEMA, policies.resolve(BOB), columns=["id"],
-            row_restriction=parse_expression("amount > 15"),
+            row_restriction=compile_restriction(SCHEMA, parse_expression("amount > 15")),
         )
         out = sl.process(batch)
         assert out.column("id").to_pylist() == [3]
